@@ -1,13 +1,16 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"spectra/internal/coda"
+	spectrarpc "spectra/internal/rpc"
 	"spectra/internal/sim"
 	"spectra/internal/solver"
+	"spectra/internal/wire"
 )
 
 // liveWork is a toy service that sleeps according to the hosting machine's
@@ -233,5 +236,64 @@ func TestServiceRequestDoubleReturn(t *testing.T) {
 	}
 	if string(out) != "first" {
 		t.Fatalf("out = %q", out)
+	}
+}
+
+// TestNonFiniteServerUsageDoesNotPoisonModels runs operations against a
+// server whose usage reports are NaN and +Inf. The replies must arrive (no
+// operation waits out its deadline and degrades to local execution) and
+// the demand models that absorbed them must still predict finite numbers.
+func TestNonFiniteServerUsageDoesNotPoisonModels(t *testing.T) {
+	srv := spectrarpc.NewServer(func() *wire.ServerStatus {
+		return &wire.ServerStatus{Name: "nan", SpeedMHz: 1000, AvailMHz: 1000}
+	})
+	srv.Register("toy", func(string, []byte) ([]byte, *wire.UsageReport, error) {
+		return []byte("done"), &wire.UsageReport{
+			CPUMegacycles: math.NaN(),
+			Extra:         []wire.NamedValue{{Name: "computeSeconds", Value: math.Inf(1)}},
+		}, nil
+	})
+	srv.Register(EchoService, func(_ string, payload []byte) ([]byte, *wire.UsageReport, error) {
+		return payload, nil, nil
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	setup := newLiveClient(t, map[string]string{"nan": addr})
+	op, err := setup.Client.RegisterFidelity(OperationSpec{
+		Name:    "toy.nan",
+		Service: "toy",
+		Plans:   []PlanSpec{{Name: "local"}, {Name: "remote", UsesServer: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup.Client.PollServers()
+	setup.Client.Probe()
+
+	for i := 0; i < 3; i++ {
+		octx, err := setup.Client.BeginForced(op, solver.Alternative{Server: "nan", Plan: "remote"}, nil, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := octx.DoRemoteOp("run", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := octx.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Degraded || len(rep.Failovers) != 0 {
+			t.Fatalf("op %d: report = %+v, want the remote reply to have arrived", i, rep)
+		}
+	}
+	for _, alt := range setup.Client.EvaluateAlternatives(op, nil, "") {
+		p := alt.Predicted
+		if math.IsNaN(alt.Utility) || math.IsNaN(p.EnergyJoules) || math.IsInf(p.EnergyJoules, 0) || p.Latency < 0 {
+			t.Fatalf("alternative %+v: prediction %+v utility %v — a non-finite sample reached the models", alt.Alternative, p, alt.Utility)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"os"
@@ -113,8 +114,11 @@ func (m *muxConn) writeLoop() {
 // framing, which desynchronizes the stream beyond recovery — fails the
 // whole connection, and with it every in-flight stream.
 func (m *muxConn) readLoop() {
+	// Buffered so a small frame costs one read syscall, not one for the
+	// length prefix and one for the body.
+	r := bufio.NewReader(m.conn)
 	for {
-		reply, n, err := wire.ReadMessage(m.conn)
+		reply, n, err := wire.ReadMessage(r)
 		if err != nil {
 			m.fail(&TransportError{Op: "read", Addr: m.addr, Err: err})
 			return

@@ -1,7 +1,9 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -265,11 +267,23 @@ type connState struct {
 	inflight map[uint64]context.CancelFunc
 }
 
-// write frames one reply, serialized against concurrent handlers.
+// write frames one reply, serialized against concurrent handlers. A reply
+// that cannot be framed (wire.ErrMessageTooLarge) is answered with an
+// error reply on the same stream, so its caller fails promptly instead of
+// waiting out its deadline; the returned error is then a transport fault,
+// which means the connection is dead.
 func (cs *connState) write(m *wire.Message) error {
 	cs.wmu.Lock()
 	defer cs.wmu.Unlock()
 	_, err := wire.WriteMessage(cs.conn, m)
+	if errors.Is(err, wire.ErrMessageTooLarge) {
+		_, err = wire.WriteMessage(cs.conn, &wire.Message{
+			Type:    m.Type,
+			ID:      m.ID,
+			Service: m.Service,
+			Err:     fmt.Sprintf("reply not sent: %v (%d-byte payload)", err, len(m.Payload)),
+		})
+	}
 	return err
 }
 
@@ -336,8 +350,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
+	// Buffered so a small frame costs one read syscall, not one for the
+	// length prefix and one for the body.
+	r := bufio.NewReader(conn)
 	for {
-		msg, _, err := wire.ReadMessage(conn)
+		msg, _, err := wire.ReadMessage(r)
 		if err != nil {
 			return
 		}
@@ -370,9 +387,11 @@ func (s *Server) serveConn(conn net.Conn) {
 					// nobody to write to.
 					return
 				}
-				// A write fault here poisons the connection; the read
-				// loop notices on its next read and tears down.
-				cs.write(reply)
+				// A transport write fault is connection death: close, so
+				// the read loop tears down and cancels the other streams.
+				if err := cs.write(reply); err != nil {
+					conn.Close()
+				}
 			}()
 		default:
 			// Ping, Status, and protocol errors are answered inline:

@@ -104,9 +104,9 @@ type TailChaosResult struct {
 // budgets derived per operation, expired work shed server-side, abandoned
 // checkouts failing fast, stalled primaries hedged to the healthy server,
 // and the local fallback as the last rung. Without that machinery the same
-// storm pins p99 at the stall duration; with it the tail must stay within a
-// small multiple of the median and no operation may overrun its budget by
-// more than one exchange timeout.
+// storm pins p99 at the stall duration; with it a stalled operation costs
+// the hedge delay plus one healthy exchange, and no operation may overrun
+// its budget by more than one exchange timeout.
 func RunTailChaos(opts TailChaosOptions) (TailChaosResult, error) {
 	opts = opts.withDefaults()
 

@@ -2,13 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"math"
+	"reflect"
 	"testing"
-	"unicode/utf8"
 )
 
 // FuzzReadMessage hardens the frame decoder against arbitrary input: it
-// must never panic and never claim to have consumed more bytes than it was
-// given. Run with `go test -fuzz FuzzReadMessage ./internal/wire`.
+// must never panic, never claim to have consumed more bytes than it was
+// given, and whatever it accepts must re-encode to a frame that decodes to
+// the same message. Run with `go test -fuzz FuzzReadMessage ./internal/wire`.
 func FuzzReadMessage(f *testing.F) {
 	// Seed with valid frames and near-misses.
 	var valid bytes.Buffer
@@ -31,15 +34,43 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// A JSON-era peer's frame.
 	f.Add([]byte{0, 0, 0, 3, '{', '}', '!'})
+	// One frame of every section kind, so mutation starts inside each.
+	for _, g := range goldenFrames {
+		frame, err := hex.DecodeString(g.hex)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	// Near-misses: a span count far beyond the body, a string running past
+	// the end, an unknown flag bit.
+	f.Add(frameOf(rawBody(frameVersion, MsgResponse, flagSpans, uvarint(1<<40), make([]byte, 30))))
+	f.Add(frameOf(rawBody(frameVersion, MsgRequest, flagService, uvarint(200), []byte("abc"))))
+	f.Add(frameOf(rawBody(frameVersion, MsgRequest, flagPayload<<1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, n, err := ReadMessage(bytes.NewReader(data))
 		if n < 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		if err == nil && msg == nil {
+		if err != nil {
+			return
+		}
+		if msg == nil {
 			t.Fatal("nil message without error")
+		}
+		var buf bytes.Buffer
+		if _, err := WriteMessage(&buf, msg); err != nil {
+			t.Fatalf("re-encoding an accepted message: %v", err)
+		}
+		again, _, err := ReadMessage(&buf)
+		if err != nil {
+			t.Fatalf("decoding the re-encoded message: %v", err)
+		}
+		if !reflect.DeepEqual(again, msg) {
+			t.Fatalf("re-encoded message decodes to %+v, want %+v", again, msg)
 		}
 	})
 }
@@ -100,10 +131,8 @@ func FuzzInterleavedCancelStream(f *testing.F) {
 func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint64(2), "server.exec", int64(10), int64(500))
 	f.Add(uint64(0), uint64(0), "", int64(-1), int64(0))
+	f.Add(uint64(math.MaxUint64), uint64(1<<63), "\xff\xfe not UTF-8", int64(math.MinInt64), int64(math.MaxInt64))
 	f.Fuzz(func(t *testing.T, traceID, spanID uint64, name string, startNs, durNs int64) {
-		if !utf8.ValidString(name) {
-			t.Skip("invalid UTF-8 identifiers are outside the protocol")
-		}
 		var buf bytes.Buffer
 		in := &Message{
 			Type:  MsgResponse,
@@ -160,37 +189,65 @@ func FuzzDeadlineRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzRoundTrip checks encode/decode symmetry for arbitrary payloads.
+// FuzzRoundTrip checks encode/decode symmetry for a message carrying every
+// section: arbitrary bytes in the payload and in the strings (both are
+// byte-transparent), arbitrary integers, and arbitrary floats — which come
+// back unchanged when finite and as 0 when not.
 func FuzzRoundTrip(f *testing.F) {
-	f.Add([]byte("payload"), "service", "optype", uint64(7))
-	f.Fuzz(func(t *testing.T, payload []byte, service, optype string, id uint64) {
-		if !utf8.ValidString(service) || !utf8.ValidString(optype) {
-			// The JSON wire format requires string fields to be valid
-			// UTF-8 (see the Message doc); invalid sequences would be
-			// replaced with U+FFFD on the wire.
-			t.Skip("invalid UTF-8 identifiers are outside the protocol")
-		}
-		var buf bytes.Buffer
+	f.Add([]byte("payload"), "service", "optype", uint64(7), 123.5, 0.25, int64(250), int64(-9))
+	f.Add([]byte{}, "", "\xff\x00", uint64(math.MaxUint64), math.NaN(), math.Inf(-1), int64(math.MinInt64), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, payload []byte, service, optype string, id uint64, cpu, load float64, budget, offset int64) {
 		in := &Message{
-			Type:    MsgRequest,
+			Type:    MsgResponse,
 			ID:      id,
 			Service: service,
 			OpType:  optype,
+			Err:     optype,
+			Code:    service,
 			Payload: payload,
+			Usage: &UsageReport{
+				CPUMegacycles: cpu,
+				Files:         []FileUsage{{Path: service, SizeBytes: budget, FetchedBytes: offset}},
+				Extra:         []NamedValue{{Name: optype, Value: load}},
+			},
+			Status: &ServerStatus{
+				Name: service, SpeedMHz: cpu, LoadFraction: load, AvailMHz: cpu, FetchRateBps: load,
+				CachedFiles: []string{optype, service}, Services: []string{service},
+			},
+			Trace:    &TraceContext{TraceID: id, SpanID: ^id},
+			Deadline: &DeadlineContext{BudgetMillis: budget},
+			Spans:    []SpanRecord{{Name: optype, StartOffsetNs: offset, DurationNs: budget}},
 		}
-		if _, err := WriteMessage(&buf, in); err != nil {
+		var buf bytes.Buffer
+		wrote, err := WriteMessage(&buf, in)
+		if err != nil {
 			if len(payload) > MaxMessageBytes/2 {
 				return // oversized input may legitimately fail
 			}
 			t.Fatal(err)
 		}
-		out, _, err := ReadMessage(&buf)
+		out, read, err := ReadMessage(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.ID != id || out.Service != service || out.OpType != optype ||
-			!bytes.Equal(out.Payload, payload) {
-			t.Fatalf("round trip mismatch: %+v", out)
+		if read != wrote {
+			t.Fatalf("wrote %d bytes, read %d", wrote, read)
+		}
+
+		want := *in
+		if len(payload) == 0 {
+			want.Payload = nil
+		}
+		cpu, load = finiteOrZero(cpu), finiteOrZero(load)
+		usage := *in.Usage
+		usage.CPUMegacycles = cpu
+		usage.Extra = []NamedValue{{Name: optype, Value: load}}
+		want.Usage = &usage
+		status := *in.Status
+		status.SpeedMHz, status.LoadFraction, status.AvailMHz, status.FetchRateBps = cpu, load, cpu, load
+		want.Status = &status
+		if !reflect.DeepEqual(out, &want) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", out, &want)
 		}
 	})
 }

@@ -1,16 +1,19 @@
-// Package wire defines the Spectra wire protocol: length-prefixed JSON
-// messages exchanged between Spectra clients and servers. Byte counts are
-// reported to callers so the network monitor can passively estimate
-// bandwidth and latency from observed traffic, as the paper's RPC package
-// does (§3.3.2).
+// Package wire defines the Spectra wire protocol: length-prefixed binary
+// frames exchanged between Spectra clients and servers. A frame is a fixed
+// 12-byte header (version, type, section flags, stream ID), the optional
+// sections the flags announce, and the raw payload as the tail (see
+// frame.go and DESIGN.md §11 for the layout). Byte counts are reported to
+// callers so the network monitor can passively estimate bandwidth and
+// latency from observed traffic, as the paper's RPC package does (§3.3.2);
+// the codec is therefore kept close to the cost of the bytes themselves.
 package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 )
 
@@ -20,6 +23,12 @@ const MaxMessageBytes = 64 << 20 // 64 MiB
 
 // ErrMessageTooLarge indicates a frame exceeding MaxMessageBytes.
 var ErrMessageTooLarge = errors.New("wire: message too large")
+
+// ErrMalformed indicates a frame body that is not a well-formed version-1
+// frame: wrong version byte (a JSON-era peer's body starts with '{'),
+// unknown section flags, a length or count running past the body, or
+// bytes left over. The stream is desynchronized beyond recovery.
+var ErrMalformed = errors.New("wire: malformed frame")
 
 // MsgType identifies a message's role in the protocol.
 type MsgType uint8
@@ -75,39 +84,40 @@ const (
 	CodeDeadlineExceeded = "deadline-exceeded"
 )
 
-// Message is the protocol envelope. String fields (Service, OpType, Err)
-// must be valid UTF-8: the JSON encoding replaces invalid sequences with
-// U+FFFD, so they would not survive a round trip. Payload is arbitrary
-// binary data (base64 on the wire).
+// Message is the protocol envelope. Every field but Type and ID is an
+// optional section: zero values (empty strings, nil pointers, empty
+// Payload or Spans) take no bytes on the wire and decode back to their
+// zero value. Strings and Payload are byte-transparent. A decoded
+// Payload aliases the frame's own read buffer, which nothing else holds.
 type Message struct {
-	Type MsgType `json:"type"`
+	Type MsgType
 	// ID names the stream this frame belongs to. Concurrent requests are
 	// multiplexed over one connection with distinct IDs; responses may
 	// arrive in any order and are matched back to callers by ID, and a
 	// MsgCancel carries the ID of the request it abandons.
-	ID      uint64 `json:"id"`
-	Service string `json:"service,omitempty"`
-	OpType  string `json:"optype,omitempty"`
-	Payload []byte `json:"payload,omitempty"`
+	ID      uint64
+	Service string
+	OpType  string
+	Payload []byte
 	// Err carries a server-side error string on responses.
-	Err string `json:"err,omitempty"`
+	Err string
 	// Code classifies machine-readable response failures (see the Code*
 	// constants); empty on success and on plain application errors.
-	Code string `json:"code,omitempty"`
+	Code string
 	// Usage reports server resource consumption for the RPC, which the
 	// client forwards to its remote proxy monitors via AddUsage.
-	Usage *UsageReport `json:"usage,omitempty"`
+	Usage *UsageReport
 	// Status carries a server resource snapshot on status replies.
-	Status *ServerStatus `json:"status,omitempty"`
+	Status *ServerStatus
 	// Trace propagates the client's trace context on requests; the server
 	// echoes it on the response so spans can be stitched.
-	Trace *TraceContext `json:"trace,omitempty"`
+	Trace *TraceContext
 	// Deadline propagates the operation's remaining latency budget on
 	// requests so servers can shed work the client has already abandoned.
-	Deadline *DeadlineContext `json:"deadline,omitempty"`
+	Deadline *DeadlineContext
 	// Spans carries the server-side span records of a traced request on the
 	// response, as offsets from the server's receipt of the request.
-	Spans []SpanRecord `json:"spans,omitempty"`
+	Spans []SpanRecord
 }
 
 // TraceContext identifies the client-side trace (and the span within it)
@@ -115,9 +125,9 @@ type Message struct {
 // back and emit SpanRecords for the work done on its behalf.
 type TraceContext struct {
 	// TraceID is the client's operation instance identifier.
-	TraceID uint64 `json:"traceId"`
+	TraceID uint64
 	// SpanID is the client-side rpc span the server's spans nest under.
-	SpanID uint64 `json:"spanId"`
+	SpanID uint64
 }
 
 // DeadlineContext carries an operation's remaining latency budget, in the
@@ -129,7 +139,7 @@ type DeadlineContext struct {
 	// BudgetMillis is the whole operation's remaining budget in
 	// milliseconds when the message was sent. Non-positive budgets are
 	// already expired.
-	BudgetMillis int64 `json:"budgetMillis"`
+	BudgetMillis int64
 }
 
 // Budget returns the remaining budget as a duration.
@@ -151,51 +161,51 @@ func NewDeadlineContext(remaining time.Duration) *DeadlineContext {
 // receipt of the request so the client can rebase it onto its own timeline
 // without synchronized clocks.
 type SpanRecord struct {
-	Name string `json:"name"`
+	Name string
 	// StartOffsetNs is the span's start, in nanoseconds after the server
 	// read the request off the wire.
-	StartOffsetNs int64 `json:"startOffsetNs"`
+	StartOffsetNs int64
 	// DurationNs is the span's length in nanoseconds.
-	DurationNs int64 `json:"durationNs"`
+	DurationNs int64
 }
 
 // UsageReport describes the resources one RPC consumed on a server.
 type UsageReport struct {
-	CPUMegacycles float64      `json:"cpuMegacycles"`
-	Files         []FileUsage  `json:"files,omitempty"`
-	Extra         []NamedValue `json:"extra,omitempty"`
+	CPUMegacycles float64
+	Files         []FileUsage
+	Extra         []NamedValue
 }
 
 // FileUsage records one file accessed during an RPC.
 type FileUsage struct {
-	Path      string `json:"path"`
-	SizeBytes int64  `json:"sizeBytes"`
+	Path      string
+	SizeBytes int64
 	// FetchedBytes is how much had to be fetched from file servers.
-	FetchedBytes int64 `json:"fetchedBytes,omitempty"`
+	FetchedBytes int64
 }
 
 // NamedValue is an extensible resource measurement.
 type NamedValue struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
+	Name  string
+	Value float64
 }
 
 // ServerStatus is the resource snapshot a Spectra server publishes; clients
 // poll it periodically and feed it to the remote proxy monitors (§3.3.5).
 type ServerStatus struct {
-	Name string `json:"name"`
+	Name string
 	// SpeedMHz is the server CPU clock.
-	SpeedMHz float64 `json:"speedMHz"`
+	SpeedMHz float64
 	// LoadFraction is the fraction of CPU recently used by other work.
-	LoadFraction float64 `json:"loadFraction"`
+	LoadFraction float64
 	// AvailMHz is the predicted megacycles/second for a new operation.
-	AvailMHz float64 `json:"availMHz"`
+	AvailMHz float64
 	// CachedFiles lists Coda files cached at the server.
-	CachedFiles []string `json:"cachedFiles,omitempty"`
+	CachedFiles []string
 	// FetchRateBps estimates the server's fetch rate from file servers.
-	FetchRateBps float64 `json:"fetchRateBps"`
+	FetchRateBps float64
 	// Services lists the service names this server can execute.
-	Services []string `json:"services,omitempty"`
+	Services []string
 }
 
 // WorkRequestBytes is the fixed encoded size of a WorkRequest.
@@ -234,30 +244,42 @@ func DecodeWorkRequest(p []byte) (WorkRequest, error) {
 	return w, nil
 }
 
-// WriteMessage frames and writes a message, returning the bytes put on the
-// wire (including the length prefix).
+// maxPooledBytes caps the encode buffers kept for reuse: one bulk frame
+// must not pin tens of megabytes in the pool for the small frames after it.
+const maxPooledBytes = 1 << 20
+
+// framePool recycles encode buffers between WriteMessage calls.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteMessage frames a message and puts it on the wire with a single
+// Write, returning the bytes written (including the length prefix). A
+// message that cannot be framed returns ErrMessageTooLarge with nothing
+// written; any other error is the writer's.
 func WriteMessage(w io.Writer, m *Message) (int, error) {
-	body, err := json.Marshal(m)
-	if err != nil {
-		return 0, fmt.Errorf("wire: marshal: %w", err)
-	}
-	if len(body) > MaxMessageBytes {
+	if len(m.Payload) > MaxMessageBytes {
 		return 0, ErrMessageTooLarge
 	}
-	buf := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(buf, uint32(len(body)))
-	copy(buf[4:], body)
-	n, err := w.Write(buf)
-	if err != nil {
-		return n, fmt.Errorf("wire: write: %w", err)
+	bp := framePool.Get().(*[]byte)
+	frame := appendFrame((*bp)[:0], m)
+	n, err := 0, ErrMessageTooLarge
+	if body := len(frame) - lenPrefixBytes; body <= MaxMessageBytes {
+		binary.BigEndian.PutUint32(frame, uint32(body))
+		if n, err = w.Write(frame); err != nil {
+			err = fmt.Errorf("wire: write: %w", err)
+		}
 	}
-	return n, nil
+	if cap(frame) <= maxPooledBytes {
+		*bp = frame
+		framePool.Put(bp)
+	}
+	return n, err
 }
 
 // ReadMessage reads one framed message, returning it and the bytes
-// consumed from the wire.
+// consumed from the wire. Non-finite usage and status floats are decoded
+// as 0, so no peer can feed NaN to the demand models.
 func ReadMessage(r io.Reader) (*Message, int, error) {
-	var lenBuf [4]byte
+	var lenBuf [lenPrefixBytes]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, 0, io.EOF
@@ -266,15 +288,15 @@ func ReadMessage(r io.Reader) (*Message, int, error) {
 	}
 	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n > MaxMessageBytes {
-		return nil, 4, ErrMessageTooLarge
+		return nil, lenPrefixBytes, ErrMessageTooLarge
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, 4, fmt.Errorf("wire: read body: %w", err)
+		return nil, lenPrefixBytes, fmt.Errorf("wire: read body: %w", err)
 	}
-	var m Message
-	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, 4 + int(n), fmt.Errorf("wire: unmarshal: %w", err)
+	m, err := parseBody(body)
+	if err != nil {
+		return nil, lenPrefixBytes + int(n), err
 	}
-	return &m, 4 + int(n), nil
+	return m, lenPrefixBytes + int(n), nil
 }

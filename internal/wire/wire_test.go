@@ -72,14 +72,14 @@ func TestReadMessageTooLarge(t *testing.T) {
 	}
 }
 
-func TestReadMessageBadJSON(t *testing.T) {
+func TestReadMessageBadFrame(t *testing.T) {
 	var buf bytes.Buffer
 	var lenBuf [4]byte
 	binary.BigEndian.PutUint32(lenBuf[:], 3)
 	buf.Write(lenBuf[:])
 	buf.WriteString("{{{")
-	if _, _, err := ReadMessage(&buf); err == nil {
-		t.Fatal("bad JSON must error")
+	if _, _, err := ReadMessage(&buf); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("want ErrMalformed, got %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package spectra_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -164,45 +165,76 @@ func BenchmarkTrafficEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkWireRoundTrip measures message encode+decode.
-func BenchmarkWireRoundTrip(b *testing.B) {
-	msg := &wire.Message{
-		Type:    wire.MsgRequest,
-		ID:      1,
-		Service: "svc",
-		OpType:  "op",
-		Payload: make([]byte, 1024),
+// benchWireSizes runs fn once per payload size as a sub-benchmark, with
+// throughput reported against the payload bytes each iteration moves.
+func benchWireSizes(b *testing.B, fn func(b *testing.B, msg *wire.Message)) {
+	for _, size := range []struct {
+		name  string
+		bytes int
+	}{{"64B", 64}, {"1KiB", 1 << 10}, {"64KiB", 64 << 10}} {
+		b.Run(size.name, func(b *testing.B) {
+			msg := &wire.Message{
+				Type:     wire.MsgRequest,
+				ID:       1,
+				Service:  "svc",
+				OpType:   "op",
+				Payload:  make([]byte, size.bytes),
+				Deadline: wire.NewDeadlineContext(100 * time.Millisecond),
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(size.bytes))
+			fn(b, msg)
+		})
 	}
-	var buf loopBuffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.reset()
+}
+
+// BenchmarkWireEncode measures framing a request into an in-memory writer.
+func BenchmarkWireEncode(b *testing.B) {
+	benchWireSizes(b, func(b *testing.B, msg *wire.Message) {
+		var buf bytes.Buffer
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if _, err := wire.WriteMessage(&buf, msg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkWireDecode measures reading the same frame back.
+func BenchmarkWireDecode(b *testing.B) {
+	benchWireSizes(b, func(b *testing.B, msg *wire.Message) {
+		var buf bytes.Buffer
 		if _, err := wire.WriteMessage(&buf, msg); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := wire.ReadMessage(&buf); err != nil {
-			b.Fatal(err)
+		r := bytes.NewReader(nil)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Reset(buf.Bytes())
+			if _, _, err := wire.ReadMessage(r); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
-// loopBuffer is a minimal in-memory read/write buffer.
-type loopBuffer struct {
-	data []byte
-	off  int
-}
-
-func (l *loopBuffer) reset() { l.data = l.data[:0]; l.off = 0 }
-
-func (l *loopBuffer) Write(p []byte) (int, error) {
-	l.data = append(l.data, p...)
-	return len(p), nil
-}
-
-func (l *loopBuffer) Read(p []byte) (int, error) {
-	n := copy(p, l.data[l.off:])
-	l.off += n
-	return n, nil
+// BenchmarkWireRoundTrip measures message encode+decode.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	benchWireSizes(b, func(b *testing.B, msg *wire.Message) {
+		var buf bytes.Buffer
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if _, err := wire.WriteMessage(&buf, msg); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := wire.ReadMessage(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkLiveRPCRoundTrip measures a real loopback Spectra RPC.
