@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -118,7 +119,7 @@ func run(opts options, args []string) error {
 }
 
 func status(out io.Writer, client *rpc.Client) error {
-	st, err := client.Status()
+	st, err := client.StatusContext(context.Background())
 	if err != nil {
 		return err
 	}
@@ -137,7 +138,7 @@ func ping(out io.Writer, client *rpc.Client) error {
 	const count = 5
 	var total time.Duration
 	for i := 0; i < count; i++ {
-		d, err := client.Ping()
+		d, err := client.PingContext(context.Background())
 		if err != nil {
 			return err
 		}
@@ -157,7 +158,7 @@ func work(out io.Writer, client *rpc.Client, args []string) error {
 	}
 	payload := wire.WorkRequest{Megacycles: *mc, FloatingPoint: *fp}.Encode()
 	start := time.Now()
-	_, usage, err := client.Call("spectra.work", "run", payload)
+	_, usage, _, err := client.CallContext(context.Background(), "spectra.work", "run", payload, nil)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -124,7 +125,7 @@ func TestCtlExitCodes(t *testing.T) {
 		t.Fatal(derr)
 	}
 	defer client.Close()
-	_, _, cerr := client.Call("no.such.service", "run", nil)
+	_, _, _, cerr := client.CallContext(context.Background(), "no.such.service", "run", nil, nil)
 	if cerr == nil || exitCode(cerr) != exitCall {
 		t.Fatalf("remote failure: got err=%v code=%d, want code %d", cerr, exitCode(cerr), exitCall)
 	}

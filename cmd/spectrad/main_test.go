@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestSpectradServesWork(t *testing.T) {
 	defer c.Close()
 	payload := make([]byte, 9)
 	binary.BigEndian.PutUint64(payload, 25)
-	_, usage, err := c.Call("spectra.work", "run", payload)
+	_, usage, _, err := c.CallContext(context.Background(), "spectra.work", "run", payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,8 @@ type Config struct {
 	// failures (see FailoverOptions); the zero value enables it.
 	Failover FailoverOptions
 	// Deadline tunes end-to-end latency budgets, cancellation, and hedged
-	// requests on runtimes that support them (see DeadlineOptions); the
-	// zero value enables them with defaults.
+	// requests (see DeadlineOptions); the zero value enables them with
+	// defaults. A virtual-time runtime always runs with them disabled.
 	Deadline DeadlineOptions
 	// Health tunes the per-server circuit breaker feeding server
 	// availability into the decision space; the zero value enables it.
@@ -174,6 +174,11 @@ func NewClient(cfg Config) (*Client, error) {
 	if c.wallClock == nil {
 		c.wallClock = sim.RealClock{}
 	}
+	// On virtual time a wall-clock budget bounds nothing and a hedge races
+	// nothing, so the remote paths need check only Disabled.
+	if cfg.Runtime.Virtual() {
+		c.deadline.Disabled = true
+	}
 	if cfg.Cache.Enabled {
 		c.dcache = newDecisionCache(cfg.Cache, cfg.Obs)
 	}
@@ -244,18 +249,21 @@ func (c *Client) Health() *HealthTracker { return c.health }
 // rather than returned. Servers quarantined by the health tracker are
 // skipped until their quarantine elapses, at which point the poll doubles
 // as the half-open probe: success re-adopts the server, failure renews
-// the quarantine.
+// the quarantine. Polls carry no operation budget; the transport's flat
+// timeout bounds each one.
 func (c *Client) PollServers() {
 	var start time.Time
 	if c.hooks.pollSeconds != nil {
 		start = time.Now()
 	}
+	ctx, cancel := budgetContext(0)
+	defer cancel()
 	for _, server := range c.Servers() {
 		if !c.health.Usable(server, c.runtime.Now()) {
 			c.monitors.UpdatePreds(server, nil)
 			continue
 		}
-		status, err := c.runtime.PollServer(server)
+		status, err := c.runtime.PollServer(ctx, server)
 		if err != nil {
 			c.hooks.pollErrors.Inc()
 			c.health.RecordFailure(server, c.runtime.Now())
@@ -273,13 +281,16 @@ func (c *Client) PollServers() {
 
 // Probe generates fresh traffic toward every candidate server so the
 // passive network monitor has current bandwidth and latency estimates.
-// Like PollServers it respects and feeds the health tracker.
+// Like PollServers it respects and feeds the health tracker, and only the
+// transport's flat timeout bounds it.
 func (c *Client) Probe() {
+	ctx, cancel := budgetContext(0)
+	defer cancel()
 	for _, server := range c.Servers() {
 		if !c.health.Usable(server, c.runtime.Now()) {
 			continue
 		}
-		if err := c.runtime.Probe(server); err != nil {
+		if err := c.runtime.Probe(ctx, server); err != nil {
 			c.health.RecordFailure(server, c.runtime.Now())
 			continue
 		}

@@ -37,7 +37,7 @@ type DeadlineOptions struct {
 	// cancellation.
 	NoHedge bool
 	// Disabled turns deadline propagation off entirely, restoring the
-	// unbounded behavior.
+	// unbounded behavior. NewClient sets it when the runtime is Virtual.
 	Disabled bool
 }
 
@@ -76,12 +76,13 @@ func (o DeadlineOptions) budgetFor(predictedSeconds float64) time.Duration {
 
 // budgetContext is the sanctioned budget root: the single place on the
 // request path where a latency budget becomes a context. A non-positive
-// budget yields an unbounded context, for callers whose runtime has no
-// deadline machinery. Every other request-path function threads its
-// caller's ctx — minting a fresh context mid-path detaches everything
-// downstream from the operation budget, which the ctxflow analyzer
-// rejects; keeping the root in one named helper is what makes that rule
-// enforceable.
+// budget yields an unbounded context, for operations whose deadlines are
+// disabled (virtual-time runtimes included) and for server polls and
+// probes, which only the transport's flat timeout bounds. Every other
+// request-path function threads its caller's ctx — minting a fresh
+// context mid-path detaches everything downstream from the operation
+// budget, which the ctxflow analyzer rejects; keeping the root in one
+// named helper is what makes that rule enforceable.
 func budgetContext(budget time.Duration) (context.Context, context.CancelFunc) {
 	if budget <= 0 {
 		return context.Background(), func() {}
@@ -107,17 +108,6 @@ func (o DeadlineOptions) hedgeDelay(ring *latencyRing, budget time.Duration) tim
 	}
 	return d
 }
-
-// DeadlineRuntime is the capability interface for runtimes whose remote
-// calls can be bounded and cancelled. NetRuntime implements it; the
-// simulation runtime deliberately does not (virtual time makes wall-clock
-// budgets meaningless there), so deadline enforcement degrades to the
-// plain path under simulation.
-type DeadlineRuntime interface {
-	RemoteCallContext(ctx context.Context, server, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, callReport, error)
-}
-
-var _ DeadlineRuntime = (*NetRuntime)(nil)
 
 // latencyRingSize bounds the rolling remote-latency sample. 64 successful
 // calls give a usable p95 while forgetting stale network conditions fast.
@@ -195,7 +185,7 @@ type remoteResult struct {
 // mid-exchange. Only when every in-budget placement fails does the local
 // fallback run (outside the budget: a local result late still beats no
 // result).
-func (x *OpContext) doRemoteDeadline(dr DeadlineRuntime, optype string, payload []byte) ([]byte, error) {
+func (x *OpContext) doRemoteDeadline(optype string, payload []byte) ([]byte, error) {
 	c := x.client
 	primary := x.decision.Alternative.Server
 	budget := c.deadline.budgetFor(x.decision.Predicted.Latency.Seconds())
@@ -216,7 +206,7 @@ func (x *OpContext) doRemoteDeadline(dr DeadlineRuntime, optype string, payload 
 		}
 		go func() {
 			start := time.Now()
-			out, rep, err := dr.RemoteCallContext(ctx, server, x.op.spec.Service, optype, payload, tc)
+			out, rep, err := c.runtime.RemoteCall(ctx, server, x.op.spec.Service, optype, payload, tc)
 			if sp >= 0 {
 				x.spans.Attach(sp, rep.serverSpans)
 				x.spans.EndSpan(sp)

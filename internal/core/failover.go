@@ -124,16 +124,6 @@ func (c *Client) nextServer(op *Operation, alt solver.Alternative, params map[st
 	return best
 }
 
-// hostOffers reports whether the client itself can execute the service,
-// making local fallback possible.
-func (c *Client) hostOffers(service string) bool {
-	type hostRuntime interface{ HostService(service string) bool }
-	if hr, ok := c.runtime.(hostRuntime); ok {
-		return hr.HostService(service)
-	}
-	return false
-}
-
 // failRemote is the shared failover ladder for DoRemoteOp and failed
 // DoParallelOps branches: re-execute the call on the next-best server
 // (bounded by the failover budget), then fall back to local execution.
@@ -177,7 +167,7 @@ func (x *OpContext) failRemote(ctx context.Context, optype string, payload []byt
 		failed = next
 	}
 
-	if !c.failover.NoLocalFallback && c.hostOffers(service) {
+	if !c.failover.NoLocalFallback && c.runtime.HostService(service) {
 		sp := x.spans.Start(obs.SpanLocal, -1)
 		out, rep, lerr := c.runtime.LocalCall(service, optype, payload)
 		x.spans.EndSpan(sp)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -131,7 +132,7 @@ func TestLiveServerStatusAndProbe(t *testing.T) {
 	addr := startLiveServer(t, "srv", 500)
 	setup := newLiveClient(t, map[string]string{"srv": addr})
 
-	status, err := setup.Runtime.PollServer("srv")
+	status, err := setup.Runtime.PollServer(context.Background(), "srv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestLiveServerStatusAndProbe(t *testing.T) {
 		t.Fatalf("services = %v, want toy", status.Services)
 	}
 
-	if err := setup.Runtime.Probe("srv"); err != nil {
+	if err := setup.Runtime.Probe(context.Background(), "srv"); err != nil {
 		t.Fatal(err)
 	}
 	if setup.Network.Log("srv").Len() < 2 {
@@ -162,7 +163,7 @@ func TestLiveServerStatusAndProbe(t *testing.T) {
 
 func TestLiveUnreachableServer(t *testing.T) {
 	setup := newLiveClient(t, map[string]string{"ghost": "127.0.0.1:1"})
-	if _, err := setup.Runtime.PollServer("ghost"); err == nil {
+	if _, err := setup.Runtime.PollServer(context.Background(), "ghost"); err == nil {
 		t.Fatal("polling a dead server should fail")
 	}
 	setup.Client.PollServers() // must not panic; marks unreachable

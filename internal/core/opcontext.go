@@ -99,10 +99,10 @@ func (x *OpContext) DoLocalOp(optype string, payload []byte) ([]byte, error) {
 // onto the client itself, so the application only sees an error when every
 // placement is exhausted. Recoveries are recorded in the Report.
 //
-// On runtimes that support cancellation (DeadlineRuntime, i.e. live
-// setups) the whole call — including the failover ladder — runs inside a
-// latency budget derived from the solver's predicted latency, and a hedged
-// backup may race the primary; see DeadlineOptions.
+// Unless deadlines are disabled — as they are on a virtual-time runtime —
+// the whole call, failover ladder included, runs inside a latency budget
+// derived from the solver's predicted latency, and a hedged backup may
+// race the primary; see DeadlineOptions.
 func (x *OpContext) DoRemoteOp(optype string, payload []byte) ([]byte, error) {
 	if x.ended {
 		return nil, errEnded
@@ -111,12 +111,12 @@ func (x *OpContext) DoRemoteOp(optype string, payload []byte) ([]byte, error) {
 	if server == "" {
 		return nil, errors.New("core: do_remote_op on a local execution plan")
 	}
-	if dr, ok := x.client.runtime.(DeadlineRuntime); ok && !x.client.deadline.Disabled {
-		return x.doRemoteDeadline(dr, optype, payload)
+	if !x.client.deadline.Disabled {
+		return x.doRemoteDeadline(optype, payload)
 	}
-	// No deadline machinery on this runtime: the operation legitimately
-	// runs unbounded, but the context still threads through the call and
-	// the failover ladder from the one sanctioned root.
+	// Deadlines are off: the operation legitimately runs unbounded, but the
+	// context still threads through the call and the failover ladder from
+	// the one sanctioned root.
 	ctx, cancel := budgetContext(0)
 	defer cancel()
 	out, rep, err := x.remoteCallCtx(ctx, server, optype, payload)
@@ -145,28 +145,16 @@ func (x *OpContext) DoRemoteOp(optype string, payload []byte) ([]byte, error) {
 
 // remoteCallCtx wraps the runtime's remote call with span recording: an
 // rpc span covers the exchange, the trace context rides the request, and
-// the server's (already rebased) spans are grafted under the rpc span. On
-// a DeadlineRuntime the context's remaining budget caps the exchange and
-// rides the request; other runtimes ignore the context.
+// the server's (already rebased) spans are grafted under the rpc span. The
+// context's remaining budget caps the exchange and rides the request on a
+// live runtime; the simulation ignores it.
 func (x *OpContext) remoteCallCtx(ctx context.Context, server, optype string, payload []byte) ([]byte, callReport, error) {
 	sp := x.spans.Start(obs.SpanRPC, -1)
 	var tc *wire.TraceContext
 	if sp >= 0 {
 		tc = &wire.TraceContext{TraceID: x.id, SpanID: uint64(sp)}
 	}
-	var (
-		out []byte
-		rep callReport
-		err error
-	)
-	if dr, ok := x.client.runtime.(DeadlineRuntime); ok {
-		out, rep, err = dr.RemoteCallContext(ctx, server, x.op.spec.Service, optype, payload, tc)
-	} else {
-		// The base Runtime interface has no context parameter — SimRuntime
-		// runs on virtual time, where a wall-clock budget is meaningless.
-		//lint:allow ctxflow base Runtime has no context; only non-deadline runtimes reach this arm
-		out, rep, err = x.client.runtime.RemoteCall(server, x.op.spec.Service, optype, payload, tc)
-	}
+	out, rep, err := x.client.runtime.RemoteCall(ctx, server, x.op.spec.Service, optype, payload, tc)
 	if sp >= 0 {
 		x.spans.Attach(sp, rep.serverSpans)
 		x.spans.EndSpan(sp)

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"spectra/internal/sim"
-
-	spectrarpc "spectra/internal/rpc"
 )
 
 // ParallelCall is one branch of a parallel remote phase: the paper's
@@ -31,26 +29,6 @@ type parallelResult struct {
 	err error
 }
 
-// ParallelRuntime is implemented by runtimes that support parallel remote
-// execution. Both SimRuntime and NetRuntime do.
-type ParallelRuntime interface {
-	// ParallelRemote executes the calls concurrently and returns per-branch
-	// results (outputs or errors, with per-branch usage reports whose phases
-	// are zeroed) and the combined phase usage of the overlapped execution.
-	// One failed branch does not abort the others. The context carries the
-	// operation's latency budget: live branches are bounded and cancelled by
-	// it; the simulation runtime ignores it (virtual time).
-	ParallelRemote(ctx context.Context, service string, calls []ParallelCall) ([]parallelResult, phaseUsage)
-}
-
-var (
-	_ ParallelRuntime = (*SimRuntime)(nil)
-	_ ParallelRuntime = (*NetRuntime)(nil)
-)
-
-// errNoParallel is returned when the runtime cannot execute in parallel.
-var errNoParallel = errors.New("core: runtime does not support parallel execution")
-
 // DoParallelOps executes several remote operations concurrently,
 // implementing the paper's proposed parallel execution plans. Outputs are
 // returned in call order. Resource usage is accounted per branch; the
@@ -66,10 +44,6 @@ func (x *OpContext) DoParallelOps(calls []ParallelCall) ([][]byte, error) {
 	if len(calls) == 0 {
 		return nil, errors.New("core: DoParallelOps needs at least one call")
 	}
-	pr, ok := x.client.runtime.(ParallelRuntime)
-	if !ok {
-		return nil, errNoParallel
-	}
 	resolved := make([]ParallelCall, len(calls))
 	for i, c := range calls {
 		if c.Server == "" {
@@ -82,15 +56,15 @@ func (x *OpContext) DoParallelOps(calls []ParallelCall) ([][]byte, error) {
 	}
 	// The whole phase — parallel branches and any failover rungs for the
 	// branches that die — runs inside the operation's latency budget, from
-	// the same sanctioned root as the single-call path. Without deadline
-	// machinery the context is unbounded but still threads through.
+	// the same sanctioned root as the single-call path. With deadlines off
+	// the context is unbounded but still threads through.
 	var budget time.Duration
-	if _, ok := x.client.runtime.(DeadlineRuntime); ok && !x.client.deadline.Disabled {
+	if !x.client.deadline.Disabled {
 		budget = x.client.deadline.budgetFor(x.decision.Predicted.Latency.Seconds())
 	}
 	ctx, cancel := budgetContext(budget)
 	defer cancel()
-	results, combined := pr.ParallelRemote(ctx, x.op.spec.Service, resolved)
+	results, combined := x.client.runtime.ParallelRemote(ctx, x.op.spec.Service, resolved)
 	for _, res := range results {
 		x.account(res.rep)
 	}
@@ -121,7 +95,7 @@ func (x *OpContext) DoParallelOps(calls []ParallelCall) ([][]byte, error) {
 	return outs, nil
 }
 
-// ParallelRemote implements ParallelRuntime for the simulation: each
+// ParallelRemote implements Runtime for the simulation: each
 // branch executes against a private clock starting at the current instant;
 // the shared clock then advances by the slowest branch. The client's radio
 // serializes the transfers (network power for their sum) and idles for the
@@ -221,7 +195,7 @@ func (r *SimRuntime) parallelBranch(start time.Time, service string, call Parall
 	return out, rep, elapsed, nil
 }
 
-// ParallelRemote implements ParallelRuntime for the live runtime: branches
+// ParallelRemote implements Runtime for the live runtime: branches
 // check pooled connections out of each target server's pool, so the RPCs
 // genuinely overlap without dialing throwaway sockets. A failed branch
 // leaves its error in place without aborting its siblings.
@@ -252,9 +226,7 @@ func (r *NetRuntime) ParallelRemote(ctx context.Context, service string, calls [
 			}
 			out, usage, _, err := pool.CallContext(ctx, service, call.OpType, call.Payload, nil)
 			if err != nil {
-				if !isRemoteAppError(err) && !spectrarpc.IsOverloaded(err) {
-					r.setReachable(call.Server, false)
-				}
+				r.noteFault(call.Server, err)
 				results[i].err = fmt.Errorf("core: remote %s on %q: %w", service, call.Server, err)
 				return
 			}

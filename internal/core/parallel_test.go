@@ -319,4 +319,10 @@ func TestParallelFailoverRespectsBudget(t *testing.T) {
 	if !rep.Degraded {
 		t.Fatal("local fallback must mark the report degraded")
 	}
+	// A budget expiry says nothing about server health: the parallel branch
+	// follows the same reachability rule as the single-call path.
+	snap := setup.Client.Monitors().Snapshot(setup.Runtime.Now(), []string{"slow"})
+	if !snap.Network["slow"].Reachable {
+		t.Fatal("a budget expiry marked a slow-but-healthy server unreachable")
+	}
 }

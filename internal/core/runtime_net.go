@@ -29,9 +29,7 @@ const probeEchoBytes = 64 * 1024
 type NetRuntime struct {
 	mu sync.Mutex
 
-	clock   sim.Clock
-	host    *Node
-	account *EnergyAccount
+	hostExec
 	network *monitor.NetworkMonitor
 
 	addrs    map[string]string
@@ -48,12 +46,10 @@ var _ Runtime = (*NetRuntime)(nil)
 // monitor may be nil.
 func NewNetRuntime(host *Node, network *monitor.NetworkMonitor) *NetRuntime {
 	return &NetRuntime{
-		clock:   sim.RealClock{},
-		host:    host,
-		account: NewEnergyAccount(host.Machine()),
-		network: network,
-		addrs:   make(map[string]string),
-		pools:   make(map[string]*spectrarpc.Pool),
+		hostExec: hostExec{clock: sim.RealClock{}, host: host, account: NewEnergyAccount(host.Machine())},
+		network:  network,
+		addrs:    make(map[string]string),
+		pools:    make(map[string]*spectrarpc.Pool),
 	}
 }
 
@@ -104,48 +100,16 @@ func (r *NetRuntime) Close() error {
 // Now implements Runtime.
 func (r *NetRuntime) Now() time.Time { return r.clock.Now() }
 
-// HostService reports whether the client node offers the service, which
-// makes local failover possible.
-func (r *NetRuntime) HostService(service string) bool {
-	_, ok := r.host.Service(service)
-	return ok
-}
+// Virtual implements Runtime: the live runtime runs on the wall clock.
+func (r *NetRuntime) Virtual() bool { return false }
 
-// LocalCall implements Runtime, identically to the simulation: the service
-// runs on the host node in a metered context.
-func (r *NetRuntime) LocalCall(service, optype string, payload []byte) ([]byte, callReport, error) {
-	fn, ok := r.host.Service(service)
-	if !ok {
-		return nil, callReport{}, fmt.Errorf("core: host does not offer service %q", service)
-	}
-	ctx := NewServiceContext(r.clock, r.host, r.account)
-	out, err := fn(ctx, optype, payload)
-	usage := ctx.Usage()
-	rep := callReport{
-		files: usage.Files,
-		phases: phaseUsage{
-			localSeconds: usage.ComputeSeconds,
-			netSeconds:   usage.FetchSeconds,
-		},
-	}
-	if err != nil {
-		return nil, rep, fmt.Errorf("core: local %s/%s: %w", service, optype, err)
-	}
-	return out, rep, nil
-}
-
-// RemoteCall implements Runtime over TCP. Traced calls (tc != nil) carry
-// the trace context to the server; the server's span records return on the
-// response and are rebased onto the client timeline (see rpc.RebaseSpans).
-func (r *NetRuntime) RemoteCall(server, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, callReport, error) {
-	return r.RemoteCallContext(context.Background(), server, service, optype, payload, tc)
-}
-
-// RemoteCallContext implements DeadlineRuntime: RemoteCall bounded by the
-// context's remaining budget. The budget caps the pool checkout wait, the
-// dial, and the exchange, rides the request so the server can shed expired
-// work, and cancellation interrupts the exchange mid-flight.
-func (r *NetRuntime) RemoteCallContext(ctx context.Context, server, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, callReport, error) {
+// RemoteCall implements Runtime over TCP. The context's remaining budget
+// caps the pool checkout wait, the dial, and the exchange, rides the
+// request so the server can shed expired work, and cancellation interrupts
+// the exchange mid-flight. Traced calls (tc != nil) carry the trace context
+// to the server; the server's span records return on the response and are
+// rebased onto the client timeline (see rpc.RebaseSpans).
+func (r *NetRuntime) RemoteCall(ctx context.Context, server, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, callReport, error) {
 	pool, err := r.pool(server)
 	if err != nil {
 		return nil, callReport{}, err
@@ -154,15 +118,7 @@ func (r *NetRuntime) RemoteCallContext(ctx context.Context, server, service, opt
 	out, usage, spans, err := pool.CallContext(ctx, service, optype, payload, tc)
 	elapsed := time.Since(start)
 	if err != nil {
-		// A transport fault means the server cannot be contacted; an
-		// admission-control shed means the opposite — the server answered,
-		// it is just saturated — so only the former flips reachability. A
-		// deadline expiry says nothing either way (the server may be healthy
-		// and merely slow, or the budget was short). The pool already
-		// evicted any faulted connection.
-		if !isRemoteAppError(err) && !spectrarpc.IsOverloaded(err) && !spectrarpc.IsDeadline(err) {
-			r.setReachable(server, false)
-		}
+		r.noteFault(server, err)
 		return nil, callReport{}, fmt.Errorf("core: remote %s on %q: %w", service, server, err)
 	}
 	r.setReachable(server, true)
@@ -219,16 +175,14 @@ func (r *NetRuntime) Reintegrate(volume string) (int64, time.Duration, error) {
 }
 
 // PollServer implements Runtime.
-func (r *NetRuntime) PollServer(server string) (*wire.ServerStatus, error) {
+func (r *NetRuntime) PollServer(ctx context.Context, server string) (*wire.ServerStatus, error) {
 	pool, err := r.pool(server)
 	if err != nil {
 		return nil, err
 	}
-	status, err := pool.Status()
+	status, err := pool.StatusContext(ctx)
 	if err != nil {
-		if !isRemoteAppError(err) && !spectrarpc.IsOverloaded(err) {
-			r.setReachable(server, false)
-		}
+		r.noteFault(server, err)
 		return nil, fmt.Errorf("core: poll %q: %w", server, err)
 	}
 	r.setReachable(server, true)
@@ -237,20 +191,18 @@ func (r *NetRuntime) PollServer(server string) (*wire.ServerStatus, error) {
 
 // Probe implements Runtime: a ping plus a bulk echo give the passive
 // estimator a latency and a bandwidth observation.
-func (r *NetRuntime) Probe(server string) error {
+func (r *NetRuntime) Probe(ctx context.Context, server string) error {
 	pool, err := r.pool(server)
 	if err != nil {
 		return err
 	}
-	if _, err := pool.Ping(); err != nil {
-		r.setReachable(server, false)
+	if _, err := pool.PingContext(ctx); err != nil {
+		r.noteFault(server, err)
 		return fmt.Errorf("core: probe %q: %w", server, err)
 	}
 	bulk := make([]byte, probeEchoBytes)
-	if _, _, err := pool.Call(EchoService, "echo", bulk); err != nil {
-		if !spectrarpc.IsOverloaded(err) {
-			r.setReachable(server, false)
-		}
+	if _, _, _, err := pool.CallContext(ctx, EchoService, "echo", bulk, nil); err != nil {
+		r.noteFault(server, err)
 		return fmt.Errorf("core: bulk probe %q: %w", server, err)
 	}
 	r.setReachable(server, true)
@@ -281,6 +233,19 @@ func (r *NetRuntime) pool(server string) (*spectrarpc.Pool, error) {
 	}
 	r.pools[server] = p
 	return p, nil
+}
+
+// noteFault is the one reachability rule for a failed exchange. A
+// transport fault means the server cannot be contacted. An admission-control
+// shed means the opposite: the server answered, it is just saturated. A
+// remote application error is an answer too. A deadline expiry says
+// nothing either way: the server may be healthy and merely slow, or the
+// budget was short. So only a transport fault flips reachability; the pool
+// has already evicted the faulted connection.
+func (r *NetRuntime) noteFault(server string, err error) {
+	if !isRemoteAppError(err) && !spectrarpc.IsOverloaded(err) && !spectrarpc.IsDeadline(err) {
+		r.setReachable(server, false)
+	}
 }
 
 func (r *NetRuntime) setReachable(server string, ok bool) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -28,6 +29,7 @@ const (
 // or idle power depending on the phase — exactly the signal sources the
 // monitors would observe on real hardware.
 type SimRuntime struct {
+	hostExec
 	env *Env
 	// network receives passive traffic observations and reachability.
 	network *monitor.NetworkMonitor
@@ -38,48 +40,27 @@ var _ Runtime = (*SimRuntime)(nil)
 // NewSimRuntime returns a runtime over the environment. The network
 // monitor may be nil (no passive observation).
 func NewSimRuntime(env *Env, network *monitor.NetworkMonitor) *SimRuntime {
-	return &SimRuntime{env: env, network: network}
+	return &SimRuntime{
+		hostExec: hostExec{clock: env.Clock(), host: env.Host(), account: env.HostAccount()},
+		env:      env,
+		network:  network,
+	}
 }
 
 // Now implements Runtime.
 func (r *SimRuntime) Now() time.Time { return r.env.Clock().Now() }
 
-// HostService reports whether the client node offers the service, which
-// makes local failover possible.
-func (r *SimRuntime) HostService(service string) bool {
-	_, ok := r.env.Host().Service(service)
-	return ok
-}
-
-// LocalCall implements Runtime: the service runs on the host with the
-// host's energy metered as busy/network power.
-func (r *SimRuntime) LocalCall(service, optype string, payload []byte) ([]byte, callReport, error) {
-	fn, ok := r.env.Host().Service(service)
-	if !ok {
-		return nil, callReport{}, fmt.Errorf("core: host does not offer service %q", service)
-	}
-	ctx := NewServiceContext(r.env.Clock(), r.env.Host(), r.env.HostAccount())
-	out, err := fn(ctx, optype, payload)
-	usage := ctx.Usage()
-	rep := callReport{
-		files: usage.Files,
-		phases: phaseUsage{
-			localSeconds: usage.ComputeSeconds,
-			netSeconds:   usage.FetchSeconds,
-		},
-	}
-	if err != nil {
-		return nil, rep, fmt.Errorf("core: local %s/%s: %w", service, optype, err)
-	}
-	return out, rep, nil
-}
+// Virtual implements Runtime: the simulation runs on virtual time.
+func (r *SimRuntime) Virtual() bool { return true }
 
 // RemoteCall implements Runtime: the request crosses the link, the service
 // runs on the server machine while the client idles, and the response
 // returns. Both transfers are recorded as passive traffic observations.
 // Traced calls (tc != nil) additionally return the server-side spans; the
 // simulation shares one virtual clock, so they are exact, not rebased.
-func (r *SimRuntime) RemoteCall(server, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, callReport, error) {
+// The context is ignored: the exchange consumes virtual time, which a
+// wall-clock budget cannot bound.
+func (r *SimRuntime) RemoteCall(_ context.Context, server, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, callReport, error) {
 	node, link, ok := r.env.Server(server)
 	if !ok {
 		return nil, callReport{}, fmt.Errorf("core: unknown server %q", server)
@@ -179,7 +160,7 @@ func (r *SimRuntime) Reintegrate(volume string) (int64, time.Duration, error) {
 
 // PollServer implements Runtime: a small status RPC, observed by the
 // network monitor like any other exchange.
-func (r *SimRuntime) PollServer(server string) (*wire.ServerStatus, error) {
+func (r *SimRuntime) PollServer(_ context.Context, server string) (*wire.ServerStatus, error) {
 	node, link, ok := r.env.Server(server)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown server %q", server)
@@ -213,7 +194,7 @@ func (r *SimRuntime) PollServer(server string) (*wire.ServerStatus, error) {
 
 // Probe implements Runtime: one small and one bulk exchange seed the
 // bandwidth and latency estimates for the server's path.
-func (r *SimRuntime) Probe(server string) error {
+func (r *SimRuntime) Probe(_ context.Context, server string) error {
 	_, link, ok := r.env.Server(server)
 	if !ok {
 		return fmt.Errorf("core: unknown server %q", server)

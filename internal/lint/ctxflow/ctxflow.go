@@ -11,18 +11,13 @@
 // types.Func.FullName — concrete methods and the runtime interfaces both)
 // is reachable from it through the package call graph; reachability
 // crosses package boundaries via object facts exported in dependency
-// order. Within the configured request-path packages, two rules apply to
-// every network-reaching function:
-//
-//  1. No fresh roots: calls to context.Background / context.TODO are
-//     forbidden. A sanctioned budget root (the one place an operation's
-//     latency budget becomes a context) is annotated //lint:allow ctxflow;
-//     compatibility wrappers whose contract is exactly "the no-context
-//     variant" are listed in Config.Facade.
-//  2. No variant downgrades: a function that receives a context.Context
-//     must not call a sink's no-context variant (Config.Variants names the
-//     Context-taking sibling) — dropping the caller's context at the last
-//     hop unbounds the exchange just as surely as a fresh root.
+// order. Within the configured request-path packages, one rule applies to
+// every network-reaching function: no fresh roots. Calls to
+// context.Background / context.TODO are forbidden; a sanctioned budget root
+// (the one place an operation's latency budget becomes a context) is
+// annotated //lint:allow ctxflow. Dropping a received context at the last
+// hop needs no rule of its own when every sink takes a context, as all of
+// Spectra's do: there is no no-context variant to call.
 //
 // Soundness limits: calls through function values produce no edge, and
 // interface calls resolve to the interface method (name the interface
@@ -51,13 +46,6 @@ type Config struct {
 	// concrete client/pool methods and the runtime interface methods that
 	// dispatch to them.
 	Sinks []string
-	// Variants maps a no-context sink variant (FullName) to the name of
-	// its Context-taking sibling, for rule 2's diagnostic.
-	Variants map[string]string
-	// Facade lists functions (FullName) exempt from both rules: the
-	// compatibility wrappers whose documented contract is the no-context
-	// call path.
-	Facade []string
 }
 
 // reachesFact marks a function from which a configured sink is reachable;
@@ -78,10 +66,6 @@ func New(cfg Config) *analysis.Analyzer {
 	for _, s := range cfg.Sinks {
 		sinks[s] = true
 	}
-	facade := make(map[string]bool, len(cfg.Facade))
-	for _, f := range cfg.Facade {
-		facade[f] = true
-	}
 	request := make(map[string]bool, len(cfg.RequestPkgs))
 	for _, p := range cfg.RequestPkgs {
 		request[p] = true
@@ -89,9 +73,8 @@ func New(cfg Config) *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "ctxflow",
 		Doc: "request-path functions that reach an RPC sink must not mint " +
-			"fresh contexts (context.Background/TODO) or drop a received " +
-			"context by calling a no-context call variant; thread the " +
-			"caller's ctx so deadlines propagate end to end",
+			"fresh contexts (context.Background/TODO); thread the caller's " +
+			"ctx so deadlines propagate end to end",
 		Run: func(pass *analysis.Pass) error {
 			g := callgraph.Build(pass)
 			reach := computeReach(pass, g, sinks)
@@ -106,12 +89,9 @@ func New(cfg Config) *analysis.Analyzer {
 				return nil
 			}
 			for _, node := range g.Nodes() {
-				sink, onPath := reach[node.Func]
-				if !onPath || facade[analysis.FullName(node.Func)] {
-					continue
+				if sink, onPath := reach[node.Func]; onPath {
+					checkFreshRoots(pass, node, sink)
 				}
-				checkFreshRoots(pass, node, sink)
-				checkVariantDowngrade(pass, node, cfg.Variants)
 			}
 			return nil
 		},
@@ -134,8 +114,8 @@ func computeReach(pass *analysis.Pass, g *callgraph.Graph, sinks map[string]bool
 		}
 		return "", false
 	}
-	// Seed declared functions that are themselves sinks (their bodies are
-	// the facade boundary's inside; rule 1 still applies to them).
+	// Seed declared functions that are themselves sinks (the rule still
+	// applies to their bodies).
 	for _, n := range g.Nodes() {
 		if name := analysis.FullName(n.Func); sinks[name] {
 			reach[n.Func] = name
@@ -181,47 +161,4 @@ func checkFreshRoots(pass *analysis.Pass, node *callgraph.Node, sink string) {
 		}
 		return true
 	})
-}
-
-// checkVariantDowngrade reports no-context sink-variant calls from
-// functions that received a context.
-func checkVariantDowngrade(pass *analysis.Pass, node *callgraph.Node, variants map[string]string) {
-	if variants == nil || !hasContextParam(node.Func) {
-		return
-	}
-	for _, e := range node.Calls {
-		name := analysis.FullName(e.Callee)
-		sibling, downgrade := variants[name]
-		if !downgrade {
-			continue
-		}
-		pass.Reportf(e.Pos,
-			"%s receives a context.Context but calls %s, dropping it at the last hop; call %s with the caller's ctx",
-			node.Func.Name(), name, sibling)
-	}
-}
-
-// hasContextParam reports whether fn's signature takes a context.Context.
-func hasContextParam(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if isContextType(params.At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-// isContextType recognizes context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

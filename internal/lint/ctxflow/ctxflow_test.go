@@ -16,14 +16,7 @@ func golden() ctxflow.Config {
 	return ctxflow.Config{
 		RequestPkgs: []string{stubPath, reqPath},
 		Sinks: []string{
-			"(*" + stubPath + ".Conn).Call",
 			"(*" + stubPath + ".Conn).CallContext",
-		},
-		Variants: map[string]string{
-			"(*" + stubPath + ".Conn).Call": "CallContext",
-		},
-		Facade: []string{
-			"(*" + stubPath + ".Conn).Call",
 		},
 	}
 }

@@ -33,12 +33,6 @@ func CrossPkg(c *rpcstub.Conn) error {
 	return rpcstub.Exchange(context.Background(), c, "x") // want `CrossPkg mints a fresh context`
 }
 
-// Downgrade receives a context but calls the no-context variant.
-func Downgrade(ctx context.Context, c *rpcstub.Conn) error {
-	_ = ctx
-	return c.Call("x") // want `Downgrade receives a context.Context but calls .*Call, dropping it`
-}
-
 // Threads is the correct shape.
 func Threads(ctx context.Context, c *rpcstub.Conn) error {
 	return c.CallContext(ctx, "x")

@@ -1,19 +1,12 @@
 // Package rpcstub is the ctxflow golden dependency: it declares the sink
-// methods (Call / CallContext), the sanctioned facade wrapper, and an
-// exported helper whose network-reachability must cross the package
-// boundary as a fact.
+// method (CallContext) and an exported helper whose network-reachability
+// must cross the package boundary as a fact.
 package rpcstub
 
 import "context"
 
 // Conn stands in for the RPC client.
 type Conn struct{}
-
-// Call is the no-context compatibility wrapper — the facade. The test
-// configuration lists it in Config.Facade, so its fresh root is exempt.
-func (c *Conn) Call(op string) error {
-	return c.CallContext(context.Background(), op)
-}
 
 // CallContext is the context-threading exchange primitive (a sink).
 func (c *Conn) CallContext(ctx context.Context, op string) error {

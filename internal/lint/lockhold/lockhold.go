@@ -29,7 +29,7 @@ import (
 // Config tunes the analyzer.
 type Config struct {
 	// Blocking lists extra functions (types.Func.FullName form, e.g.
-	// "(*spectra/internal/rpc.Client).Call" or "net.Dial") to treat as
+	// "(*spectra/internal/rpc.Client).CallContext" or "net.Dial") to treat as
 	// blocking in addition to the built-in set.
 	Blocking []string
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // remoteCall stands in for an RPC exchange; the test config lists it in
-// Blocking, the way the real suite lists rpc.Client.Call.
+// Blocking, the way the real suite lists rpc.Client.CallContext.
 func remoteCall() {}
 
 type box struct {

@@ -45,19 +45,12 @@ var DeterministicPkgs = []string{
 // wait for a free connection — Server.Close waits for serving goroutines,
 // and net.Dial blocks on connection establishment.
 var BlockingCalls = []string{
-	"(*spectra/internal/rpc.Client).Call",
-	"(*spectra/internal/rpc.Client).CallTraced",
 	"(*spectra/internal/rpc.Client).CallContext",
-	"(*spectra/internal/rpc.Client).Status",
 	"(*spectra/internal/rpc.Client).StatusContext",
-	"(*spectra/internal/rpc.Client).Ping",
 	"(*spectra/internal/rpc.Client).PingContext",
-	"(*spectra/internal/rpc.Pool).Call",
-	"(*spectra/internal/rpc.Pool).CallTraced",
 	"(*spectra/internal/rpc.Pool).CallContext",
-	"(*spectra/internal/rpc.Pool).Status",
 	"(*spectra/internal/rpc.Pool).StatusContext",
-	"(*spectra/internal/rpc.Pool).Ping",
+	"(*spectra/internal/rpc.Pool).PingContext",
 	"(*spectra/internal/rpc.Server).Close",
 	"net.Dial",
 }
@@ -73,9 +66,10 @@ var ServiceNames = []string{"spectra.work"}
 var ClassifiedPkgs = []string{"spectra/internal/rpc"}
 
 // RequestPkgs are the packages forming the remote request path, where
-// ctxflow's deadline-propagation rules apply: every function that reaches
+// ctxflow's deadline-propagation rule applies: every function that reaches
 // an RPC sink must thread the caller's context rather than minting a fresh
-// one or calling a no-context variant.
+// one. Every sink takes a context, so there is no no-context variant to
+// fall back to.
 var RequestPkgs = []string{
 	"spectra/internal/core",
 	"spectra/internal/rpc",
@@ -86,52 +80,16 @@ var RequestPkgs = []string{
 // that dispatch to them (interface calls resolve to the interface method,
 // so both spellings are needed).
 var RPCSinks = []string{
-	"(*spectra/internal/rpc.Client).Call",
-	"(*spectra/internal/rpc.Client).CallTraced",
 	"(*spectra/internal/rpc.Client).CallContext",
-	"(*spectra/internal/rpc.Client).Status",
 	"(*spectra/internal/rpc.Client).StatusContext",
-	"(*spectra/internal/rpc.Client).Ping",
 	"(*spectra/internal/rpc.Client).PingContext",
-	"(*spectra/internal/rpc.Pool).Call",
-	"(*spectra/internal/rpc.Pool).CallTraced",
 	"(*spectra/internal/rpc.Pool).CallContext",
-	"(*spectra/internal/rpc.Pool).Status",
 	"(*spectra/internal/rpc.Pool).StatusContext",
-	"(*spectra/internal/rpc.Pool).Ping",
+	"(*spectra/internal/rpc.Pool).PingContext",
 	"(spectra/internal/core.Runtime).RemoteCall",
-	"(spectra/internal/core.DeadlineRuntime).RemoteCallContext",
-	"(spectra/internal/core.ParallelRuntime).ParallelRemote",
-}
-
-// CtxVariants maps each no-context sink variant to its Context-taking
-// sibling: a request-path function holding a ctx must call the sibling.
-var CtxVariants = map[string]string{
-	"(*spectra/internal/rpc.Client).Call":        "CallContext",
-	"(*spectra/internal/rpc.Client).CallTraced":  "CallContext",
-	"(*spectra/internal/rpc.Client).Status":      "StatusContext",
-	"(*spectra/internal/rpc.Client).Ping":        "PingContext",
-	"(*spectra/internal/rpc.Pool).Call":          "CallContext",
-	"(*spectra/internal/rpc.Pool).CallTraced":    "CallContext",
-	"(*spectra/internal/rpc.Pool).Status":        "StatusContext",
-	"(spectra/internal/core.Runtime).RemoteCall": "RemoteCallContext",
-}
-
-// CtxFacade are the compatibility wrappers whose documented contract is
-// the no-context call path — each is a thin shim over its Context sibling
-// with context.Background, kept for callers that have no deadline (setup,
-// probes, benchmarks). They are exempt from ctxflow's rules; everything
-// that *has* a budget must bypass them.
-var CtxFacade = []string{
-	"(*spectra/internal/rpc.Client).Call",
-	"(*spectra/internal/rpc.Client).CallTraced",
-	"(*spectra/internal/rpc.Client).Status",
-	"(*spectra/internal/rpc.Client).Ping",
-	"(*spectra/internal/rpc.Pool).Call",
-	"(*spectra/internal/rpc.Pool).CallTraced",
-	"(*spectra/internal/rpc.Pool).Status",
-	"(*spectra/internal/rpc.Pool).Ping",
-	"(*spectra/internal/core.NetRuntime).RemoteCall",
+	"(spectra/internal/core.Runtime).ParallelRemote",
+	"(spectra/internal/core.Runtime).PollServer",
+	"(spectra/internal/core.Runtime).Probe",
 }
 
 // Suite returns the analyzers configured for this repository, in the
@@ -147,8 +105,6 @@ func Suite() []*analysis.Analyzer {
 		ctxflow.New(ctxflow.Config{
 			RequestPkgs: RequestPkgs,
 			Sinks:       RPCSinks,
-			Variants:    CtxVariants,
-			Facade:      CtxFacade,
 		}),
 		goroleak.New(),
 		lockorder.New(),

@@ -37,9 +37,9 @@ func (e *RemoteError) Error() string {
 // poisons subsequent exchanges. Deadline expiries and cancellations do
 // NOT break the connection: the stream is abandoned, a cancel frame is
 // sent, and sibling streams proceed untouched. Idempotent exchanges
-// (Ping, Status) additionally retry with capped exponential backoff and
-// jitter; Call does not retry, because service operations are not
-// idempotent in general — callers fail over instead.
+// (PingContext, StatusContext) additionally retry with capped exponential
+// backoff and jitter; CallContext does not retry, because service
+// operations are not idempotent in general — callers fail over instead.
 type Client struct {
 	mu sync.Mutex
 
@@ -214,30 +214,24 @@ func (c *Client) Close() error {
 	return m.fail(ErrClientClosed)
 }
 
-// Call invokes a service operation and returns the response payload and
-// the server's usage report. Transport failures are returned as
-// *TransportError without retrying: service operations are not idempotent,
-// so recovery (retry or failover) is the caller's decision.
-func (c *Client) Call(service, optype string, payload []byte) ([]byte, *wire.UsageReport, error) {
-	out, usage, _, err := c.CallTraced(service, optype, payload, nil)
-	return out, usage, err
-}
-
-// CallTraced is Call with trace propagation: tc (which may be nil) rides
-// the request so the server executes under the client's trace, and the
-// server's span records for the request ride back on the response. Span
-// offsets are relative to the server's receipt of the request, on the
-// server's clock; RebaseSpans converts them to client-timeline spans.
-func (c *Client) CallTraced(service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, *wire.UsageReport, []wire.SpanRecord, error) {
-	return c.CallContext(context.Background(), service, optype, payload, tc)
-}
-
-// CallContext is CallTraced under an end-to-end deadline: the context's
-// remaining budget bounds the dial and the exchange and rides the request
-// as a wire.DeadlineContext so the server can shed work the client has
-// abandoned. Cancellation or budget expiry abandons only this stream — a
-// cancel frame tells the server to stop the work, the shared connection
-// stays healthy, and the failure is returned as *DeadlineError.
+// CallContext invokes a service operation and returns the response
+// payload, the server's usage report, and the server's span records. The
+// context's remaining budget bounds the dial and the exchange and rides the
+// request as a wire.DeadlineContext so the server can shed work the client
+// has abandoned. Cancellation or budget expiry abandons only this stream —
+// a cancel frame tells the server to stop the work, the shared connection
+// stays healthy, and the failure is returned as *DeadlineError. A context
+// without a deadline leaves only the flat per-exchange timeout.
+//
+// Transport failures are returned as *TransportError without retrying:
+// service operations are not idempotent, so recovery (retry or failover)
+// is the caller's decision.
+//
+// tc (which may be nil) rides the request so the server executes under the
+// client's trace, and the server's span records for the request ride back
+// on the response. Span offsets are relative to the server's receipt of
+// the request, on the server's clock; RebaseSpans converts them to
+// client-timeline spans.
 func (c *Client) CallContext(ctx context.Context, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, *wire.UsageReport, []wire.SpanRecord, error) {
 	reply, err := c.exchangeCtx(ctx, &wire.Message{
 		Type:    wire.MsgRequest,
@@ -268,14 +262,9 @@ func (c *Client) CallContext(ctx context.Context, service, optype string, payloa
 	return reply.Payload, reply.Usage, reply.Spans, nil
 }
 
-// Status fetches the server's resource snapshot, retrying transient
+// StatusContext fetches the server's resource snapshot, retrying transient
 // transport faults per the retry policy (the exchange is idempotent).
-func (c *Client) Status() (*wire.ServerStatus, error) {
-	return c.StatusContext(context.Background())
-}
-
-// StatusContext is Status under a deadline: retries stop once the next
-// backoff would overrun the remaining budget.
+// Retries stop once the next backoff would overrun the context's budget.
 func (c *Client) StatusContext(ctx context.Context) (*wire.ServerStatus, error) {
 	reply, err := c.exchangeRetry(ctx, func() *wire.Message {
 		return &wire.Message{Type: wire.MsgStatus}
@@ -289,13 +278,8 @@ func (c *Client) StatusContext(ctx context.Context) (*wire.ServerStatus, error) 
 	return reply.Status, nil
 }
 
-// Ping performs a minimal round trip, seeding the latency estimate. Like
-// Status it is idempotent and retries transient faults.
-func (c *Client) Ping() (time.Duration, error) {
-	return c.PingContext(context.Background())
-}
-
-// PingContext is Ping under a deadline.
+// PingContext performs a minimal round trip, seeding the latency estimate.
+// Like StatusContext it is idempotent and retries transient faults.
 func (c *Client) PingContext(ctx context.Context) (time.Duration, error) {
 	start := time.Now()
 	if _, err := c.exchangeRetry(ctx, func() *wire.Message {
@@ -355,12 +339,6 @@ func (c *Client) exchangeRetry(ctx context.Context, msg func() *wire.Message) (*
 		}
 	}
 	return nil, lastErr
-}
-
-// exchange sends one message and reads the matching reply without a
-// deadline; see exchangeCtx.
-func (c *Client) exchange(msg *wire.Message) (*wire.Message, error) {
-	return c.exchangeCtx(context.Background(), msg)
 }
 
 // exchangeCtx runs one stream over the multiplexed connection: assign an

@@ -19,7 +19,7 @@ func TestPoolCheckoutDeadlineExhausted(t *testing.T) {
 	p := NewPool(addr, nil, PoolOptions{Size: 1, StreamsPerConn: 1})
 	defer p.Close()
 
-	go p.Call("gate", "x", nil)
+	go p.CallContext(context.Background(), "gate", "x", nil, nil)
 	<-entered // the single stream slot is now busy
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -49,7 +49,7 @@ func TestPoolCheckoutDeadlineExhausted(t *testing.T) {
 
 	// The pool must still function once the stream slot frees up.
 	release <- struct{}{}
-	if _, _, err := p.Call("echo", "x", []byte("after")); err != nil {
+	if _, _, _, err := p.CallContext(context.Background(), "echo", "x", []byte("after"), nil); err != nil {
 		t.Fatalf("pool broken after abandoned wait: %v", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestPoolCheckoutCancelPrompt(t *testing.T) {
 	p := NewPool(addr, nil, PoolOptions{Size: 1, StreamsPerConn: 1})
 	defer p.Close()
 
-	go p.Call("gate", "x", nil)
+	go p.CallContext(context.Background(), "gate", "x", nil, nil)
 	<-entered
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -253,7 +253,7 @@ func TestClientServerShedClassified(t *testing.T) {
 	// scheduling gap between the client stamping it and the server's
 	// admission check). Retry until the race lands; it typically does on
 	// the first try.
-	if _, _, err := p.Call("echo", "x", []byte("warm")); err != nil {
+	if _, _, _, err := p.CallContext(context.Background(), "echo", "x", []byte("warm"), nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -269,7 +269,7 @@ func TestClientServerShedClassified(t *testing.T) {
 		}
 		// Whether the client or the server gave up first, the connection
 		// must remain usable (deadline failures never poison the pool).
-		if _, _, err := p.Call("echo", "x", []byte("after")); err != nil {
+		if _, _, _, err := p.CallContext(context.Background(), "echo", "x", []byte("after"), nil); err != nil {
 			t.Fatalf("pool poisoned by deadline failure: %v", err)
 		}
 		if st := p.Stats(); st.Evicted != 0 {
@@ -316,7 +316,7 @@ func TestClientCancelMidExchangeKeepsConnection(t *testing.T) {
 	}
 
 	release <- struct{}{} // let the server-side handler finish
-	out, _, err := c.Call("echo", "x", []byte("resync"))
+	out, _, _, err := c.CallContext(context.Background(), "echo", "x", []byte("resync"), nil)
 	if err != nil {
 		t.Fatalf("client broken after cancellation: %v", err)
 	}
@@ -389,7 +389,7 @@ func TestRetryStopsWhenBudgetDrained(t *testing.T) {
 
 	attempts := 0
 	c.sleep = func(time.Duration) { attempts++ }
-	if _, err := c.Status(); err == nil {
+	if _, err := c.StatusContext(context.Background()); err == nil {
 		t.Fatal("status against a dead address must fail")
 	}
 	if attempts != 0 {

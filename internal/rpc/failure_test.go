@@ -33,7 +33,7 @@ func TestServerSurvivesGarbageConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Call("echo", "op", []byte("still alive")); err != nil {
+	if _, _, _, err := c.CallContext(context.Background(), "echo", "op", []byte("still alive"), nil); err != nil {
 		t.Fatalf("server died after garbage: %v", err)
 	}
 }
@@ -67,7 +67,7 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Call("echo", "op", nil); err != nil {
+	if _, _, _, err := c.CallContext(context.Background(), "echo", "op", nil, nil); err != nil {
 		t.Fatalf("server unusable after oversized frame: %v", err)
 	}
 }
@@ -97,7 +97,7 @@ func TestClientTimeoutOnSilentServer(t *testing.T) {
 	defer c.Close()
 	c.SetTimeout(200 * time.Millisecond)
 	start := time.Now()
-	if _, _, err := c.Call("echo", "op", nil); err == nil {
+	if _, _, _, err := c.CallContext(context.Background(), "echo", "op", nil, nil); err == nil {
 		t.Fatal("call to silent server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -166,7 +166,7 @@ func TestOversizedReplyBecomesRemoteError(t *testing.T) {
 		t.Fatal("the error arrived only at the deadline")
 	}
 
-	out, _, err := c.Call("echo", "op", []byte("still here"))
+	out, _, _, err := c.CallContext(context.Background(), "echo", "op", []byte("still here"), nil)
 	if err != nil || !bytes.Equal(out, []byte("op:still here")) {
 		t.Fatalf("call after the oversized reply = %q, %v", out, err)
 	}

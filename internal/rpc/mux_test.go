@@ -94,7 +94,7 @@ func TestMuxClientMatchesInterleavedReplies(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, _, err := c.Call("hold", "x", []byte(fmt.Sprintf("held-%d", i)))
+			out, _, _, err := c.CallContext(context.Background(), "hold", "x", []byte(fmt.Sprintf("held-%d", i)), nil)
 			if err == nil && string(out) != fmt.Sprintf("held-%d", i) {
 				err = fmt.Errorf("held call %d got %q", i, out)
 			}
@@ -107,7 +107,7 @@ func TestMuxClientMatchesInterleavedReplies(t *testing.T) {
 	// Fast calls must cut through while the slow replies are outstanding.
 	for i := 0; i < 5; i++ {
 		want := fmt.Sprintf("quick-%d", i)
-		out, _, err := c.Call("echo", "x", []byte(want))
+		out, _, _, err := c.CallContext(context.Background(), "echo", "x", []byte(want), nil)
 		if err != nil {
 			t.Fatalf("interleaved echo %d: %v", i, err)
 		}
@@ -156,7 +156,7 @@ func TestMuxReaderDeathFailsAllStreams(t *testing.T) {
 	errs := make(chan error, streams)
 	for i := 0; i < streams; i++ {
 		go func() {
-			_, _, err := c.Call("hold", "x", nil)
+			_, _, _, err := c.CallContext(context.Background(), "hold", "x", nil, nil)
 			errs <- err
 		}()
 	}
@@ -289,9 +289,14 @@ func TestMuxCancelBeforeExecutionDropsWork(t *testing.T) {
 	if _, err := wire.WriteMessage(conn, &wire.Message{Type: wire.MsgRequest, ID: 2, Service: "work"}); err != nil {
 		t.Fatal(err)
 	}
+	// The frames travel over TCP while the gate is freed in-process, so
+	// wait for the server to have queued the request and then to have read
+	// its cancel; otherwise the release can overtake either frame.
+	waitQueued(t, srv, 1)
 	if _, err := wire.WriteMessage(conn, &wire.Message{Type: wire.MsgCancel, ID: 2}); err != nil {
 		t.Fatal(err)
 	}
+	waitQueued(t, srv, 0)
 
 	// Free the worker slot; the cancelled request must be dropped, not run.
 	release <- struct{}{}
@@ -306,6 +311,18 @@ func TestMuxCancelBeforeExecutionDropsWork(t *testing.T) {
 	case <-executed:
 		t.Fatal("queued work executed despite its cancel frame")
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// waitQueued polls the server's admission-queue depth until it reads want.
+func waitQueued(t *testing.T, srv *Server, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.queued.Load() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("admission queue depth = %d, want %d", srv.queued.Load(), want)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
@@ -385,7 +402,7 @@ func TestMuxSingleConnStress(t *testing.T) {
 					out, _, _, err = c.CallContext(ctx, "echo", "x", payload, nil)
 					cancel()
 				} else {
-					out, _, err = c.Call("echo", "x", payload)
+					out, _, _, err = c.CallContext(context.Background(), "echo", "x", payload, nil)
 				}
 				switch {
 				case err == nil:

@@ -376,23 +376,11 @@ func (p *Pool) newClientLocked() *Client {
 	return c
 }
 
-// Call invokes a service operation on a pooled connection. Semantics match
-// (*Client).Call: transport failures return *TransportError without
-// retrying, remote failures return *RemoteError, admission-control sheds
-// return *OverloadError.
-func (p *Pool) Call(service, optype string, payload []byte) ([]byte, *wire.UsageReport, error) {
-	out, usage, _, err := p.CallTraced(service, optype, payload, nil)
-	return out, usage, err
-}
-
-// CallTraced is Call with trace propagation, matching (*Client).CallTraced.
-func (p *Pool) CallTraced(service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, *wire.UsageReport, []wire.SpanRecord, error) {
-	return p.CallContext(context.Background(), service, optype, payload, tc)
-}
-
-// CallContext is CallTraced under an end-to-end deadline: the remaining
-// budget bounds the stream-slot wait, the dial, and the exchange, and is
-// propagated to the server, matching (*Client).CallContext.
+// CallContext invokes a service operation on a pooled connection, matching
+// (*Client).CallContext: the remaining budget bounds the stream-slot wait,
+// the dial, and the exchange, and is propagated to the server. Transport
+// failures return *TransportError without retrying, remote failures
+// *RemoteError, admission-control sheds *OverloadError.
 func (p *Pool) CallContext(ctx context.Context, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, *wire.UsageReport, []wire.SpanRecord, error) {
 	c, err := p.acquire(ctx)
 	if err != nil {
@@ -403,12 +391,8 @@ func (p *Pool) CallContext(ctx context.Context, service, optype string, payload 
 	return out, usage, spans, err
 }
 
-// Status fetches the server's resource snapshot on a pooled connection.
-func (p *Pool) Status() (*wire.ServerStatus, error) {
-	return p.StatusContext(context.Background())
-}
-
-// StatusContext is Status under a deadline.
+// StatusContext fetches the server's resource snapshot on a pooled
+// connection, matching (*Client).StatusContext.
 func (p *Pool) StatusContext(ctx context.Context) (*wire.ServerStatus, error) {
 	c, err := p.acquire(ctx)
 	if err != nil {
@@ -419,13 +403,14 @@ func (p *Pool) StatusContext(ctx context.Context) (*wire.ServerStatus, error) {
 	return st, err
 }
 
-// Ping performs a minimal round trip on a pooled connection.
-func (p *Pool) Ping() (time.Duration, error) {
-	c, err := p.acquire(context.Background())
+// PingContext performs a minimal round trip on a pooled connection,
+// matching (*Client).PingContext.
+func (p *Pool) PingContext(ctx context.Context) (time.Duration, error) {
+	c, err := p.acquire(ctx)
 	if err != nil {
 		return 0, err
 	}
-	d, err := c.Ping()
+	d, err := c.PingContext(ctx)
 	p.release()
 	return d, err
 }

@@ -50,7 +50,7 @@ func TestPoolCallsOverlap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := p.Call("gate", "x", nil); err != nil {
+			if _, _, _, err := p.CallContext(context.Background(), "gate", "x", nil, nil); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -88,7 +88,7 @@ func TestPoolSingleConnOverlap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := p.Call("gate", "x", nil); err != nil {
+			if _, _, _, err := p.CallContext(context.Background(), "gate", "x", nil, nil); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -119,7 +119,7 @@ func TestPoolCheckoutUnderExhaustion(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p.Call("gate", "x", nil)
+		p.CallContext(context.Background(), "gate", "x", nil, nil)
 	}()
 	<-entered // the single stream slot is now busy
 
@@ -128,7 +128,7 @@ func TestPoolCheckoutUnderExhaustion(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		out, _, err := p.Call("echo", "x", []byte("queued"))
+		out, _, _, err := p.CallContext(context.Background(), "echo", "x", []byte("queued"), nil)
 		if err != nil {
 			t.Error(err)
 		}
@@ -170,11 +170,11 @@ func TestPoolExhaustedWithWaiterCap(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p.Call("gate", "x", nil)
+		p.CallContext(context.Background(), "gate", "x", nil, nil)
 	}()
 	<-entered
 
-	if _, _, err := p.Call("echo", "x", nil); !errors.Is(err, ErrPoolExhausted) {
+	if _, _, _, err := p.CallContext(context.Background(), "echo", "x", nil, nil); !errors.Is(err, ErrPoolExhausted) {
 		t.Fatalf("want ErrPoolExhausted with no-wait policy, got %v", err)
 	}
 	release <- struct{}{}
@@ -190,7 +190,7 @@ func TestPoolCheckoutDeadlineBounded(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p.Call("gate", "x", nil)
+		p.CallContext(context.Background(), "gate", "x", nil, nil)
 	}()
 	<-entered
 
@@ -221,7 +221,7 @@ func TestPoolEvictsOnTransportError(t *testing.T) {
 	p := NewPool(addr, nil, PoolOptions{Size: 2})
 	defer p.Close()
 
-	if _, _, err := p.Call("echo", "x", []byte("warm")); err != nil {
+	if _, _, _, err := p.CallContext(context.Background(), "echo", "x", []byte("warm"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := p.Stats(); st.Live != 1 || st.Created != 1 {
@@ -231,7 +231,7 @@ func TestPoolEvictsOnTransportError(t *testing.T) {
 	// Kill the server: the established connection breaks at the transport
 	// level and must be counted as an eviction, not recycled.
 	srv.Close()
-	if _, _, err := p.Call("echo", "x", nil); !IsTransient(err) {
+	if _, _, _, err := p.CallContext(context.Background(), "echo", "x", nil, nil); !IsTransient(err) {
 		t.Fatalf("want transport error after server death, got %v", err)
 	}
 	deadline := time.After(5 * time.Second)
@@ -258,7 +258,7 @@ func TestPoolEvictsOnTransportError(t *testing.T) {
 	defer srv2.Close()
 	p2 := NewPool(addr2, nil, PoolOptions{Size: 2})
 	defer p2.Close()
-	if _, _, err := p2.Call("fail", "x", nil); !IsRemote(err) {
+	if _, _, _, err := p2.CallContext(context.Background(), "fail", "x", nil, nil); !IsRemote(err) {
 		t.Fatalf("want RemoteError, got %v", err)
 	}
 	if st := p2.Stats(); st.Live != 1 || st.Evicted != 0 {
@@ -274,7 +274,7 @@ func TestPoolCloseDrainsWaiters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p.Call("gate", "x", nil)
+		p.CallContext(context.Background(), "gate", "x", nil, nil)
 	}()
 	<-entered
 
@@ -285,7 +285,7 @@ func TestPoolCloseDrainsWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := p.Call("echo", "x", nil)
+			_, _, _, err := p.CallContext(context.Background(), "echo", "x", nil, nil)
 			errs <- err
 		}()
 	}
@@ -314,7 +314,7 @@ func TestPoolCloseDrainsWaiters(t *testing.T) {
 
 	release <- struct{}{} // let the server-side handler finish
 	wg.Wait()
-	if _, _, err := p.Call("echo", "x", nil); !errors.Is(err, ErrPoolClosed) {
+	if _, _, _, err := p.CallContext(context.Background(), "echo", "x", nil, nil); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("call on closed pool = %v, want ErrPoolClosed", err)
 	}
 	if st := p.Stats(); st.Live != 0 {
@@ -348,11 +348,11 @@ func TestPoolOverloadKeepsConnection(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p.Call("slow", "x", nil) // occupies the single worker slot
+		p.CallContext(context.Background(), "slow", "x", nil, nil) // occupies the single worker slot
 	}()
 	<-started
 
-	_, _, err = p.Call("slow", "x", nil)
+	_, _, _, err = p.CallContext(context.Background(), "slow", "x", nil, nil)
 	if !IsOverloaded(err) {
 		t.Fatalf("want OverloadError from admission control, got %v", err)
 	}
@@ -408,7 +408,7 @@ func TestPoolConcurrentStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, _, err := p.Call("echo", "x", []byte("s")); err != nil {
+				if _, _, _, err := p.CallContext(context.Background(), "echo", "x", []byte("s"), nil); err != nil {
 					t.Error(err)
 					return
 				}

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -92,7 +93,7 @@ func TestGarbageReplyPoisonsConnectionOnceOnly(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, _, err = c.Call("echo", "op", []byte("x"))
+	_, _, _, err = c.CallContext(context.Background(), "echo", "op", []byte("x"), nil)
 	if err == nil {
 		t.Fatal("call over garbage stream succeeded")
 	}
@@ -100,7 +101,7 @@ func TestGarbageReplyPoisonsConnectionOnceOnly(t *testing.T) {
 		t.Fatalf("garbage frame classified as non-transient: %v", err)
 	}
 
-	out, _, err := c.Call("echo", "op", []byte("y"))
+	out, _, _, err := c.CallContext(context.Background(), "echo", "op", []byte("y"), nil)
 	if err != nil {
 		t.Fatalf("call after redial: %v", err)
 	}
@@ -124,13 +125,13 @@ func TestTimeoutDesynchronizedStreamRedials(t *testing.T) {
 	defer c.Close()
 	c.SetTimeout(150 * time.Millisecond)
 
-	if _, _, err := c.Call("echo", "op", []byte("x")); err == nil {
+	if _, _, _, err := c.CallContext(context.Background(), "echo", "op", []byte("x"), nil); err == nil {
 		t.Fatal("call to stalled server succeeded")
 	} else if !IsTransient(err) {
 		t.Fatalf("timeout classified as non-transient: %v", err)
 	}
 
-	out, _, err := c.Call("echo", "op", []byte("y"))
+	out, _, _, err := c.CallContext(context.Background(), "echo", "op", []byte("y"), nil)
 	if err != nil {
 		t.Fatalf("call after timeout: %v", err)
 	}
@@ -156,7 +157,7 @@ func TestPingRetriesWithBackoff(t *testing.T) {
 		JitterFraction: -1, // deterministic delays for the assertion
 	})
 
-	if _, err := c.Ping(); err != nil {
+	if _, err := c.PingContext(context.Background()); err != nil {
 		t.Fatalf("ping never recovered: %v", err)
 	}
 	if len(delays) != 2 {
@@ -178,7 +179,7 @@ func TestStatusRetryGivesUpAfterBudget(t *testing.T) {
 	c.sleep = func(time.Duration) { attempts++ }
 	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond})
 
-	if _, err := c.Status(); err == nil {
+	if _, err := c.StatusContext(context.Background()); err == nil {
 		t.Fatal("status against a dead server succeeded")
 	} else if !IsTransient(err) {
 		t.Fatalf("dead server error non-transient: %v", err)
@@ -198,7 +199,7 @@ func TestRemoteErrorNotRetriedNotTransient(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, _, err = c.Call("fail", "op", nil)
+	_, _, _, err = c.CallContext(context.Background(), "fail", "op", nil, nil)
 	if err == nil {
 		t.Fatal("failing service returned success")
 	}
@@ -243,7 +244,7 @@ func TestClosedClientNeverRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	if _, _, err := c.Call("echo", "op", nil); err == nil {
+	if _, _, _, err := c.CallContext(context.Background(), "echo", "op", nil, nil); err == nil {
 		t.Fatal("call on closed client succeeded")
 	} else if IsTransient(err) {
 		t.Fatalf("closed-client error should not be transient: %v", err)

@@ -143,8 +143,8 @@ func IsRemote(err error) bool {
 	return errors.As(err, &rerr)
 }
 
-// RetryPolicy bounds automatic retries of idempotent exchanges (Ping and
-// Status). Each retry waits BaseDelay·Multiplier^n, capped at MaxDelay,
+// RetryPolicy bounds automatic retries of idempotent exchanges
+// (PingContext and StatusContext). Each retry waits BaseDelay·Multiplier^n, capped at MaxDelay,
 // with a deterministic jitter fraction subtracted so synchronized clients
 // do not retry in lockstep.
 type RetryPolicy struct {

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -37,7 +38,7 @@ func TestClientServerCall(t *testing.T) {
 	}
 	defer c.Close()
 
-	out, usage, err := c.Call("echo", "greet", []byte("world"))
+	out, usage, _, err := c.CallContext(context.Background(), "echo", "greet", []byte("world"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestRemoteError(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, _, err = c.Call("fail", "x", nil)
+	_, _, _, err = c.CallContext(context.Background(), "fail", "x", nil, nil)
 	var rerr *RemoteError
 	if !errors.As(err, &rerr) {
 		t.Fatalf("want RemoteError, got %v", err)
@@ -78,7 +79,7 @@ func TestUnknownService(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, _, err = c.Call("nope", "x", nil)
+	_, _, _, err = c.CallContext(context.Background(), "nope", "x", nil, nil)
 	var rerr *RemoteError
 	if !errors.As(err, &rerr) {
 		t.Fatalf("want RemoteError for unknown service, got %v", err)
@@ -93,7 +94,7 @@ func TestStatus(t *testing.T) {
 	}
 	defer c.Close()
 
-	st, err := c.Status()
+	st, err := c.StatusContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestPing(t *testing.T) {
 	}
 	defer c.Close()
 
-	d, err := c.Ping()
+	d, err := c.PingContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestClientClosedCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	if _, _, err := c.Call("echo", "x", nil); err == nil {
+	if _, _, _, err := c.CallContext(context.Background(), "echo", "x", nil, nil); err == nil {
 		t.Fatal("call on closed client should fail")
 	}
 	if err := c.Close(); err != nil {
@@ -150,14 +151,14 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Call("echo", "x", nil); err != nil {
+	if _, _, _, err := c.CallContext(context.Background(), "echo", "x", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	c.SetTimeout(500 * time.Millisecond)
-	if _, _, err := c.Call("echo", "x", nil); err == nil {
+	if _, _, _, err := c.CallContext(context.Background(), "echo", "x", nil, nil); err == nil {
 		t.Fatal("call after server close should fail")
 	}
 }
@@ -172,7 +173,7 @@ func TestSequentialCallsShareConnection(t *testing.T) {
 
 	for i := 0; i < 20; i++ {
 		payload := []byte(fmt.Sprintf("msg-%d", i))
-		out, _, err := c.Call("echo", "op", payload)
+		out, _, _, err := c.CallContext(context.Background(), "echo", "op", payload, nil)
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -199,7 +200,7 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for j := 0; j < 10; j++ {
-				if _, _, err := c.Call("echo", "op", []byte{byte(i), byte(j)}); err != nil {
+				if _, _, _, err := c.CallContext(context.Background(), "echo", "op", []byte{byte(i), byte(j)}, nil); err != nil {
 					errc <- err
 					return
 				}
@@ -224,7 +225,7 @@ func TestRegisterReplaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	out, _, err := c.Call("echo", "op", nil)
+	out, _, _, err := c.CallContext(context.Background(), "echo", "op", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

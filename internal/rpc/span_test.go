@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func TestCallTracedReturnsServerSpans(t *testing.T) {
 	}
 	defer c.Close()
 
-	out, _, spans, err := c.CallTraced("echo", "greet", []byte("hi"), &wire.TraceContext{TraceID: 7, SpanID: 1})
+	out, _, spans, err := c.CallContext(context.Background(), "echo", "greet", []byte("hi"), &wire.TraceContext{TraceID: 7, SpanID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestCallTracedReturnsServerSpans(t *testing.T) {
 	}
 
 	// Untraced calls stay span-free.
-	if _, _, spans, err = c.CallTraced("echo", "greet", nil, nil); err != nil {
+	if _, _, spans, err = c.CallContext(context.Background(), "echo", "greet", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(spans) != 0 {
@@ -65,7 +66,7 @@ func TestCallTracedSpansOnError(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, _, spans, err := c.CallTraced("fail", "x", nil, &wire.TraceContext{TraceID: 1, SpanID: 0})
+	_, _, spans, err := c.CallContext(context.Background(), "fail", "x", nil, &wire.TraceContext{TraceID: 1, SpanID: 0})
 	var rerr *RemoteError
 	if !errors.As(err, &rerr) {
 		t.Fatalf("want RemoteError, got %v", err)
@@ -92,10 +93,10 @@ func TestServerObserverEmitsTraces(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, _, _, err := c.CallTraced("echo", "greet", []byte("x"), &wire.TraceContext{TraceID: 99, SpanID: 4}); err != nil {
+	if _, _, _, err := c.CallContext(context.Background(), "echo", "greet", []byte("x"), &wire.TraceContext{TraceID: 99, SpanID: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Call("fail", "x", nil); err == nil {
+	if _, _, _, err := c.CallContext(context.Background(), "fail", "x", nil, nil); err == nil {
 		t.Fatal("fail service succeeded")
 	}
 

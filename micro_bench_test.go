@@ -2,6 +2,7 @@ package spectra_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -260,7 +261,7 @@ func BenchmarkLiveRPCRoundTrip(b *testing.B) {
 	payload := make([]byte, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := client.Call("echo", "op", payload); err != nil {
+		if _, _, _, err := client.CallContext(context.Background(), "echo", "op", payload, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
